@@ -1,0 +1,30 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs, interpolating
+// linearly between the two closest ranks. It returns NaN for an empty slice
+// and leaves xs unmodified.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	if lo >= len(s)-1 {
+		return s[len(s)-1]
+	}
+	if lo < 0 {
+		return s[0]
+	}
+	frac := pos - float64(lo)
+	return s[lo] + frac*(s[lo+1]-s[lo])
+}
+
+// median is the 50th percentile.
+func median(xs []float64) float64 { return percentile(xs, 50) }
