@@ -177,8 +177,7 @@ func run(args []string) error {
 		}
 		if stragglerPlan.HasCongest() {
 			// The TCP transport has no bandwidth model to scale; congest
-			// episodes only act under the simulator (link penalty) or an
-			// in-process live.Network (stragglers.LiveHook).
+			// episodes only act under the simulator (link penalty).
 			fmt.Fprintln(os.Stderr, "specsync-node: warning: congest episodes in the plan are ignored on the TCP transport")
 		}
 	}

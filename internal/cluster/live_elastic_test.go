@@ -122,9 +122,11 @@ func TestLiveElasticGrowShrink(t *testing.T) {
 	plan := elastic.GrowShrink(workers, 1, servers, 1,
 		150*time.Millisecond, 450*time.Millisecond)
 	var joiner *worker.Worker
-	inj, err := elastic.NewLive(elastic.LiveOptions{
-		Plan:    plan,
-		Servers: servers,
+	net.Start()
+	defer net.Close()
+	inj, err := elastic.Attach(net, elastic.Options{
+		Plan:      plan,
+		Servers:   servers,
 		NewWorker: func(i int) (node.Handler, error) { return makeWorker(i, true) },
 		NewServer: func(slot int) (node.Handler, error) {
 			return ps.NewJoining(ps.Config{NewOptimizer: newOptimizer})
@@ -138,10 +140,6 @@ func TestLiveElasticGrowShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Start()
-	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
 
 	waitFor(t, "the worker join and the scale-up migration", func() bool {
 		st := sched.ScaleStats()

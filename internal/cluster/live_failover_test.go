@@ -94,7 +94,25 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	plan := &faults.Plan{Events: []faults.Event{
 		{Kind: faults.KindCrashScheduler, At: 150 * time.Millisecond, RestartAfter: 400 * time.Millisecond},
 	}}
-	inj, err := faults.NewLive(faults.LiveOptions{
+
+	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddNode(node.ServerID(0), srv); err != nil {
+		t.Fatal(err)
+	}
+	for i, wk := range workers {
+		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := net.AddNode(node.Scheduler, sched); err != nil {
+		t.Fatal(err)
+	}
+	net.Start()
+	defer net.Close()
+	inj, err := faults.Attach(net, faults.Options{
 		Plan:         plan,
 		NumWorkers:   2,
 		NumServers:   1,
@@ -116,26 +134,6 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1, Fault: inj.Hook()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddNode(node.ServerID(0), srv); err != nil {
-		t.Fatal(err)
-	}
-	for i, wk := range workers {
-		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.AddNode(node.Scheduler, sched); err != nil {
-		t.Fatal(err)
-	}
-	net.Start()
-	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
 
 	waitFor(t, "both workers to enter degraded mode", func() bool {
 		return workers[0].Degraded() && workers[1].Degraded()

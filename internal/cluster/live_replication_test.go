@@ -114,30 +114,8 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		// The scheduler stays down; the standby owns recovery.
 		{Kind: faults.KindCrashScheduler, At: 600 * time.Millisecond},
 	}}
-	inj, err := faults.NewLive(faults.LiveOptions{
-		Plan:       plan,
-		NumWorkers: 2,
-		NumServers: 1,
-		Faults:     fm,
-		Replicas:   1,
-		Standbys:   1,
-		Server: func(int) *ps.Server {
-			mu.Lock()
-			defer mu.Unlock()
-			return serving
-		},
-		ReplicaServer: func(int, int) *ps.Server { return backup },
-		OnPromote: func(_ int, srv *ps.Server) {
-			mu.Lock()
-			serving = srv
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1, Fault: inj.Hook()})
+	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +138,28 @@ func TestLiveReplicatedFailover(t *testing.T) {
 	}
 	net.Start()
 	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
+	inj, err := faults.Attach(net, faults.Options{
+		Plan:       plan,
+		NumWorkers: 2,
+		NumServers: 1,
+		Faults:     fm,
+		Replicas:   1,
+		Standbys:   1,
+		Server: func(int) *ps.Server {
+			mu.Lock()
+			defer mu.Unlock()
+			return serving
+		},
+		ReplicaServer: func(int, int) *ps.Server { return backup },
+		OnPromote: func(_ int, srv *ps.Server) {
+			mu.Lock()
+			serving = srv
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	waitFor(t, "the backup to be promoted to shard primary", func() bool {
 		return fm.Stats().Promotions == 1

@@ -586,13 +586,13 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Stragglers != nil {
-		if err := stragglers.AttachSim(sim, cfg.Stragglers); err != nil {
-			return nil, err
-		}
-	}
 	var stragglerScripts [][]worker.SpeedWindow
 	if cfg.Stragglers != nil {
+		// Congest episodes scale link transfer times; compute-side episodes
+		// compile into per-worker speed scripts. Neither draws randomness.
+		if lp := cfg.Stragglers.LinkPenalty(); lp != nil {
+			sim.SetLinkPenalty(lp)
+		}
 		stragglerScripts, err = cfg.Stragglers.Scripts(cfg.Workers)
 		if err != nil {
 			return nil, err
@@ -952,24 +952,35 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	var inj *faults.SimInjector
+	var inj *faults.Injector
 	if cfg.Faults != nil {
-		inj, err = faults.AttachSim(sim, faults.SimOptions{
-			Plan:            cfg.Faults,
-			NumWorkers:      cfg.Workers,
-			NumServers:      cfg.Servers,
-			Tracer:          collector,
-			Faults:          faultM,
-			CheckpointEvery: cfg.CheckpointEvery,
+		// In-memory checkpoints, the simulated analogue of durable storage.
+		snaps := make(map[int]ps.Snapshot)
+		var schedSnap *core.SchedulerSnapshot
+		inj, err = faults.Attach(sim, faults.Options{
+			Plan:       cfg.Faults,
+			NumWorkers: cfg.Workers,
+			NumServers: cfg.Servers,
+			Tracer:     collector,
+			Faults:     faultM,
 			NewWorker: func(i int) (node.Handler, error) {
 				return makeWorker(i, false, -1)
 			},
 			NewServer:    makeServer,
 			NewScheduler: makeScheduler,
-			Server:       func(shard int) *ps.Server { return servers[shard] },
-			Scheduler:    func() *core.Scheduler { return sched },
-			Replicas:     cfg.Replication.Replicas,
-			Standbys:     cfg.Replication.StandbySchedulers,
+			Checkpoint: func(shard int) (ps.Snapshot, bool) {
+				snap, ok := snaps[shard]
+				return snap, ok
+			},
+			SchedulerCheckpoint: func() (core.SchedulerSnapshot, bool) {
+				if schedSnap == nil {
+					return core.SchedulerSnapshot{}, false
+				}
+				return *schedSnap, true
+			},
+			Server:   func(shard int) *ps.Server { return servers[shard] },
+			Replicas: cfg.Replication.Replicas,
+			Standbys: cfg.Replication.StandbySchedulers,
 			ReplicaServer: func(shard, r int) *ps.Server {
 				if shardReplicas == nil || r < 1 || r > len(shardReplicas[shard]) {
 					return nil
@@ -998,13 +1009,36 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if cfg.CheckpointEvery > 0 {
+			// Snapshot every live shard and the scheduler on the period;
+			// restarts restore the most recent snapshot. The simulator is
+			// single-threaded, so reading node state here is safe.
+			var checkpoint func()
+			checkpoint = func() {
+				for shard := 0; shard < cfg.Servers; shard++ {
+					if sim.Down(node.ServerID(shard)) {
+						continue
+					}
+					if srv := servers[shard]; srv != nil {
+						snaps[shard] = srv.Snapshot()
+						faultM.RecordCheckpoint()
+					}
+				}
+				if !sim.Down(node.Scheduler) && sched != nil {
+					snap := sched.Snapshot()
+					schedSnap = &snap
+					faultM.RecordCheckpoint()
+				}
+				sim.Schedule(cfg.CheckpointEvery, checkpoint)
+			}
+			sim.Schedule(cfg.CheckpointEvery, checkpoint)
+		}
 	}
 
-	var einj *elastic.SimInjector
+	var einj *elastic.Injector
 	if cfg.Scale != nil {
-		einj, err = elastic.AttachSim(sim, elastic.SimOptions{
+		einj, err = elastic.Attach(sim, elastic.Options{
 			Plan:    cfg.Scale,
-			Workers: cfg.Workers,
 			Servers: cfg.Servers,
 			NewWorker: func(i int) (node.Handler, error) {
 				return makeWorker(i, true, -1)

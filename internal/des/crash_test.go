@@ -154,16 +154,16 @@ func TestFaultHookDropDuplicateDelay(t *testing.T) {
 	recv := &echoNode{}
 	var mode string
 	s := newSim(t, Config{Seed: 1})
-	s.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) FaultAction {
+	s.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) node.FaultAction {
 		switch mode {
 		case "drop":
-			return FaultAction{Drop: true}
+			return node.FaultAction{Drop: true}
 		case "dup":
-			return FaultAction{Duplicate: true}
+			return node.FaultAction{Duplicate: true}
 		case "delay":
-			return FaultAction{Delay: 50 * time.Millisecond}
+			return node.FaultAction{Delay: 50 * time.Millisecond}
 		}
-		return FaultAction{}
+		return node.FaultAction{}
 	})
 	if err := s.AddNode(node.WorkerID(0), &echoNode{}); err != nil {
 		t.Fatal(err)

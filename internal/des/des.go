@@ -65,25 +65,6 @@ type TransferRecorder interface {
 	RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time)
 }
 
-// FaultAction tells the simulator what to do with one message. The zero
-// value delivers normally.
-type FaultAction struct {
-	// Drop discards the message (it still consumed no link time).
-	Drop bool
-	// Duplicate transmits a second copy (both pass through the bandwidth
-	// model, so they serialize on the link like a real retransmission).
-	Duplicate bool
-	// Delay adds this much extra latency, reordering the message past
-	// later traffic on the same link.
-	Delay time.Duration
-}
-
-// FaultHook decides the fault action for each message at send time. It runs
-// on the simulator goroutine; any randomness inside must come from a seeded
-// stream so runs stay reproducible. internal/faults builds hooks from
-// declarative fault plans.
-type FaultHook func(from, to node.ID, kind wire.Kind, at time.Time) FaultAction
-
 // Config configures a simulation.
 type Config struct {
 	// Seed drives all simulator randomness (jitter) and derives per-node
@@ -97,9 +78,6 @@ type Config struct {
 	Start time.Time
 	// Transfer, if non-nil, receives a record per message sent.
 	Transfer TransferRecorder
-	// Fault, if non-nil, is consulted for every message (see also
-	// Sim.SetFault, which fault injectors use after construction).
-	Fault FaultHook
 	// Metrics, if non-nil, receives simulator-level gauges and counters
 	// (event-queue depth, steps executed, deliveries, virtual clock).
 	// Recording only reads simulator state, so it cannot perturb the run.
@@ -152,7 +130,7 @@ type Sim struct {
 	started  bool
 	stopped  bool
 	delivers uint64 // count of delivered messages, for stats/tests
-	fault    FaultHook
+	fault    node.FaultHook
 	// linkPenalty, if non-nil, scales per-link transfer time (straggler
 	// congestion profiles). Unlike the fault hook it is a pure function —
 	// no drops, no randomness — so it composes with fault plans.
@@ -203,7 +181,6 @@ func New(cfg Config) (*Sim, error) {
 		netRand:     rand.New(rand.NewSource(cfg.Seed ^ 0x5ec5)),
 		hiccupRand:  rand.New(rand.NewSource(cfg.Seed ^ 0x41cc)),
 		hiccupFront: start,
-		fault:       cfg.Fault,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.metSteps = reg.Counter("specsync_sim_steps_total", "Simulator events executed.")
@@ -214,9 +191,11 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
+var _ node.Runtime = (*Sim)(nil)
+
 // SetFault installs (or replaces) the message fault hook. Fault injectors
 // call it after the simulation is built but before (or during) the run.
-func (s *Sim) SetFault(f FaultHook) { s.fault = f }
+func (s *Sim) SetFault(f node.FaultHook) { s.fault = f }
 
 // LinkPenaltyHook scales the transfer time of one message: it returns a
 // multiplier >= 1 applied to both the link serialization time and the
@@ -421,7 +400,7 @@ func (s *Sim) send(from, to node.ID, m wire.Message) {
 		s.logf(from, "send to unknown node %s dropped (kind %s)", to, s.cfg.Registry.Name(m.Kind()))
 		return
 	}
-	var act FaultAction
+	var act node.FaultAction
 	if s.fault != nil {
 		act = s.fault(from, to, m.Kind(), s.now)
 	}
@@ -562,6 +541,10 @@ func (s *Sim) Inject(from, to node.ID, m wire.Message) error {
 	})
 	return nil
 }
+
+// Quiesce is a no-op: the simulator is single-threaded, so no callback of a
+// crashed node can still be running when the caller takes over its handler.
+func (s *Sim) Quiesce(id node.ID) error { return nil }
 
 // FaultDrops returns (hook-injected drops, deliveries lost to down nodes).
 func (s *Sim) FaultDrops() (injected, dead uint64) { return s.faultDrops, s.deadDrops }

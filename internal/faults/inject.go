@@ -2,10 +2,10 @@ package faults
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"specsync/internal/core"
-	"specsync/internal/des"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
@@ -14,8 +14,8 @@ import (
 	"specsync/internal/wire"
 )
 
-// SimOptions wires a plan into one simulation.
-type SimOptions struct {
+// Options wires a plan into one run.
+type Options struct {
 	// Plan is the fault schedule. Required.
 	Plan *Plan
 	// NumWorkers / NumServers bound the plan's node indices.
@@ -36,23 +36,25 @@ type SimOptions struct {
 	// new scheduler's config so its Init announces itself with a
 	// SchedulerHello. Required when the plan restarts the scheduler.
 	NewScheduler func(gen int64) (*core.Scheduler, error)
-	// Server returns the shard's current server (for checkpointing).
-	// Required when CheckpointEvery > 0.
+	// Checkpoint, if non-nil, returns the snapshot to restore into a
+	// restarted shard (the latest in-memory snapshot under the simulator, a
+	// checkpoint file on a real deployment); ok=false restarts the shard
+	// blank, at its initial values.
+	Checkpoint func(shard int) (ps.Snapshot, bool)
+	// SchedulerCheckpoint, if non-nil, returns the snapshot to restore into
+	// a restarted scheduler; ok=false restarts it cold (state rebuilds from
+	// worker StateReports alone).
+	SchedulerCheckpoint func() (core.SchedulerSnapshot, bool)
+	// Server returns the shard's current server. If non-nil, a server crash
+	// pins the shard's acknowledged version: the catch-up target of a
+	// promotion and the loss baseline of a checkpoint restore.
 	Server func(shard int) *ps.Server
-	// Scheduler returns the current scheduler (for checkpointing); nil skips
-	// scheduler checkpoints, in which case a restarted scheduler rebuilds
-	// entirely from worker StateReports.
-	Scheduler func() *core.Scheduler
 	// OnWorkerRestart / OnServerRestart / OnSchedulerRestart let the harness
 	// swap its references to the replaced node (result accounting reads
 	// counters off them).
 	OnWorkerRestart    func(i int, h node.Handler)
 	OnServerRestart    func(shard int, srv *ps.Server)
 	OnSchedulerRestart func(s *core.Scheduler)
-	// CheckpointEvery snapshots every live server shard on this period;
-	// restarts restore the most recent snapshot. Zero disables
-	// checkpointing — restarted shards come back at their initial values.
-	CheckpointEvery time.Duration
 
 	// Replicas is the number of backup replicas per shard (R). When
 	// positive, a crashed server recovers by promoting its next surviving
@@ -78,20 +80,21 @@ type SimOptions struct {
 	Standbys int
 }
 
-// catchUpPoll is the virtual-time tick on which a promotion re-checks
-// whether the backup has drained the dead primary's in-flight replication
-// stream. Deterministic under the DES (plain virtual delay, no randomness).
+// catchUpPoll is the tick on which a promotion re-checks whether the backup
+// has drained the dead primary's in-flight replication stream. Deterministic
+// under the DES (plain virtual delay, no randomness).
 const catchUpPoll = 2 * time.Millisecond
 
-// SimInjector executes a plan against a des.Sim in virtual time.
-type SimInjector struct {
-	sim  *des.Sim
-	opts SimOptions
-	// snaps holds the latest in-memory checkpoint per shard; schedSnap is
-	// the scheduler's, schedGen the incarnation counter.
-	snaps     map[int]ps.Snapshot
-	schedSnap *core.SchedulerSnapshot
-	schedGen  int64
+// Injector executes a plan against a runtime: virtual time under the
+// simulator, wall-clock time under the live runtime.
+type Injector struct {
+	rt   node.Runtime
+	opts Options
+
+	// mu guards the fields below: live runtimes fire plan actions from
+	// concurrent timer goroutines. It is uncontended under the simulator.
+	mu       sync.Mutex
+	schedGen int64
 	// promoted counts backups already consumed per shard; crashVersion pins
 	// each crashed shard's acknowledged version — the catch-up target for a
 	// promotion and the loss baseline for a checkpoint restore.
@@ -100,10 +103,12 @@ type SimInjector struct {
 	errs         []error
 }
 
-// AttachSim validates the plan against the cluster shape, installs the
-// message-fault hook, and schedules every crash/restart and checkpoint tick.
-// Call before running the simulation.
-func AttachSim(sim *des.Sim, opts SimOptions) (*SimInjector, error) {
+// Attach validates the plan against the cluster shape, installs the
+// message-fault hook, and schedules every crash/restart. Under the
+// simulator call it before running; under the live runtime, after Start
+// (plan offsets count from the call). The runtime cancels pending plan
+// events when it closes.
+func Attach(rt node.Runtime, opts Options) (*Injector, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("faults: nil plan")
 	}
@@ -135,37 +140,29 @@ func AttachSim(sim *des.Sim, opts SimOptions) (*SimInjector, error) {
 			}
 		}
 	}
-	if opts.CheckpointEvery > 0 && opts.Server == nil {
-		return nil, fmt.Errorf("faults: CheckpointEvery set but Server accessor is nil")
-	}
 
-	inj := &SimInjector{
-		sim: sim, opts: opts,
-		snaps:        make(map[int]ps.Snapshot),
+	inj := &Injector{
+		rt: rt, opts: opts,
 		promoted:     make(map[int]int),
 		crashVersion: make(map[int]int64),
 	}
 
 	filter := NewFilter(opts.Plan, opts.Faults)
 	if !filter.Empty() {
-		start := sim.Now()
-		sim.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) des.FaultAction {
-			a := filter.Action(from, to, kind, at.Sub(start))
-			return des.FaultAction{Drop: a.Drop, Duplicate: a.Duplicate, Delay: a.Delay}
+		start := rt.Now()
+		rt.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) node.FaultAction {
+			return filter.Action(from, to, kind, at.Sub(start))
 		})
 	}
 
 	for _, ev := range opts.Plan.Crashes() {
 		ev := ev
-		sim.Schedule(ev.At, func() { inj.crash(ev) })
-	}
-	if opts.CheckpointEvery > 0 {
-		inj.armCheckpoint()
+		rt.Schedule(ev.At, func() { inj.crash(ev) })
 	}
 	return inj, nil
 }
 
-func (inj *SimInjector) crash(ev Event) {
+func (inj *Injector) crash(ev Event) {
 	var id node.ID
 	traceWorker := ev.Node
 	switch ev.Kind {
@@ -178,7 +175,7 @@ func (inj *SimInjector) crash(ev Event) {
 		id = node.ServerID(ev.Node)
 		traceWorker = -(ev.Node + 1)
 	}
-	if inj.sim.Down(id) {
+	if inj.rt.Down(id) {
 		// Overlapping crash events on one node (easy to generate for the
 		// single scheduler): the earlier crash already holds it down, so
 		// this one — and its restart — is a no-op.
@@ -189,11 +186,14 @@ func (inj *SimInjector) crash(ev Event) {
 		// must not serve until its backup has applied this much, and a
 		// checkpoint restore that comes back below it lost pushes.
 		if srv := inj.opts.Server(ev.Node); srv != nil {
-			inj.crashVersion[ev.Node] = srv.Version()
+			v := srv.Version()
+			inj.mu.Lock()
+			inj.crashVersion[ev.Node] = v
+			inj.mu.Unlock()
 		}
 	}
-	if err := inj.sim.Crash(id); err != nil {
-		inj.errs = append(inj.errs, err)
+	if err := inj.rt.Crash(id); err != nil {
+		inj.fail(err)
 		return
 	}
 	if ev.Kind == KindCrashScheduler {
@@ -202,7 +202,7 @@ func (inj *SimInjector) crash(ev Event) {
 		inj.opts.Faults.RecordCrash()
 	}
 	if inj.opts.Tracer != nil {
-		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindCrash})
+		inj.opts.Tracer.Record(trace.Event{At: inj.rt.Now(), Worker: traceWorker, Kind: trace.KindCrash})
 	}
 	if ev.Kind == KindCrashScheduler && inj.opts.Standbys > 0 {
 		// The standbys' election timers take it from here; injecting a
@@ -211,11 +211,11 @@ func (inj *SimInjector) crash(ev Event) {
 		return
 	}
 	if ev.RestartAfter > 0 {
-		inj.sim.Schedule(ev.RestartAfter, func() { inj.restart(ev, id, traceWorker) })
+		inj.rt.Schedule(ev.RestartAfter, func() { inj.restart(ev, id, traceWorker) })
 	}
 }
 
-func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
+func (inj *Injector) restart(ev Event, id node.ID, traceWorker int) {
 	if ev.Kind == KindCrashScheduler {
 		inj.restartScheduler()
 		return
@@ -225,36 +225,42 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 	if ev.Kind == KindCrashWorker {
 		wk, err := inj.opts.NewWorker(ev.Node)
 		if err != nil {
-			inj.errs = append(inj.errs, err)
+			inj.fail(err)
 			return
 		}
 		h = wk
 	} else {
-		if inj.opts.Replicas > 0 && inj.promoted[ev.Node] < inj.opts.Replicas {
+		inj.mu.Lock()
+		promote := inj.opts.Replicas > 0 && inj.promoted[ev.Node] < inj.opts.Replicas
+		cv := inj.crashVersion[ev.Node]
+		inj.mu.Unlock()
+		if promote {
 			// A surviving backup holds every acknowledged push; promote it
 			// instead of rolling back to a checkpoint.
 			inj.promoteReplica(ev.Node, id, traceWorker)
 			return
 		}
 		if inj.opts.NewServer == nil {
-			inj.errs = append(inj.errs, fmt.Errorf("faults: shard %d exhausted its backups and NewServer is nil", ev.Node))
+			inj.fail(fmt.Errorf("faults: shard %d exhausted its backups and NewServer is nil", ev.Node))
 			return
 		}
 		srv, err := inj.opts.NewServer(ev.Node)
 		if err != nil {
-			inj.errs = append(inj.errs, err)
+			inj.fail(err)
 			return
 		}
-		if snap, ok := inj.snaps[ev.Node]; ok {
-			if err := srv.Restore(snap); err != nil {
-				inj.errs = append(inj.errs, err)
-				return
+		if inj.opts.Checkpoint != nil {
+			if snap, ok := inj.opts.Checkpoint(ev.Node); ok {
+				if err := srv.Restore(snap); err != nil {
+					inj.fail(err)
+					return
+				}
+				inj.opts.Faults.RecordRestore()
+				restored = snap.Version
 			}
-			inj.opts.Faults.RecordRestore()
-			restored = snap.Version
 		}
 		// Everything applied after the last checkpoint died with the node.
-		if cv := inj.crashVersion[ev.Node]; cv > restored {
+		if cv > restored {
 			inj.opts.Faults.RecordLostPushes(cv - restored)
 		}
 		h = srv
@@ -262,13 +268,13 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 			inj.opts.OnServerRestart(ev.Node, srv)
 		}
 	}
-	if err := inj.sim.Restart(id, h); err != nil {
-		inj.errs = append(inj.errs, err)
+	if err := inj.rt.Restart(id, h); err != nil {
+		inj.fail(err)
 		return
 	}
 	inj.opts.Faults.RecordRestart()
 	if inj.opts.Tracer != nil {
-		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: restored})
+		inj.opts.Tracer.Record(trace.Event{At: inj.rt.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: restored})
 	}
 	if ev.Kind == KindCrashWorker {
 		if inj.opts.OnWorkerRestart != nil {
@@ -276,8 +282,8 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 		}
 		// The scheduler only starts workers at Init; a restarted worker
 		// needs its Start re-issued to re-enter the training loop.
-		if err := inj.sim.Inject(node.Scheduler, id, &msg.Start{}); err != nil {
-			inj.errs = append(inj.errs, err)
+		if err := inj.rt.Inject(node.Scheduler, id, &msg.Start{}); err != nil {
+			inj.fail(err)
 		}
 	}
 }
@@ -288,18 +294,20 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 // promotion first waits until the backup's version reaches the version the
 // primary had acknowledged, then installs the backup at the shard's node ID —
 // workers keep routing to "server/i" and never learn a failover happened.
-func (inj *SimInjector) promoteReplica(shard int, id node.ID, traceWorker int) {
+func (inj *Injector) promoteReplica(shard int, id node.ID, traceWorker int) {
+	inj.mu.Lock()
 	r := inj.promoted[shard] + 1
+	target := inj.crashVersion[shard]
+	inj.mu.Unlock()
 	backup := inj.opts.ReplicaServer(shard, r)
 	if backup == nil {
-		inj.errs = append(inj.errs, fmt.Errorf("faults: shard %d has no replica %d to promote", shard, r))
+		inj.fail(fmt.Errorf("faults: shard %d has no replica %d to promote", shard, r))
 		return
 	}
-	target := inj.crashVersion[shard]
 	var await func()
 	await = func() {
 		if backup.Version() < target {
-			inj.sim.Schedule(catchUpPoll, await)
+			inj.rt.Schedule(catchUpPoll, await)
 			return
 		}
 		inj.finishPromotion(shard, r, id, traceWorker, backup)
@@ -311,9 +319,16 @@ func (inj *SimInjector) promoteReplica(shard int, id node.ID, traceWorker int) {
 // the backup handler from its replica node ID (one handler must not serve two
 // live IDs), point it at the backups that remain, and restart the shard's
 // well-known ID with it.
-func (inj *SimInjector) finishPromotion(shard, r int, id node.ID, traceWorker int, backup *ps.Server) {
-	if err := inj.sim.Crash(node.ReplicaID(shard, r)); err != nil {
-		inj.errs = append(inj.errs, err)
+func (inj *Injector) finishPromotion(shard, r int, id node.ID, traceWorker int, backup *ps.Server) {
+	if err := inj.rt.Crash(node.ReplicaID(shard, r)); err != nil {
+		inj.fail(err)
+		return
+	}
+	// The crash only marks the node down; under the live runtime a callback
+	// may still be running on its loop. Drain it before taking over the
+	// handler's state.
+	if err := inj.rt.Quiesce(node.ReplicaID(shard, r)); err != nil {
+		inj.fail(err)
 		return
 	}
 	remaining := make([]node.ID, 0, inj.opts.Replicas-r)
@@ -321,15 +336,17 @@ func (inj *SimInjector) finishPromotion(shard, r int, id node.ID, traceWorker in
 		remaining = append(remaining, node.ReplicaID(shard, i))
 	}
 	backup.Promote(remaining)
-	if err := inj.sim.Restart(id, backup); err != nil {
-		inj.errs = append(inj.errs, err)
+	if err := inj.rt.Restart(id, backup); err != nil {
+		inj.fail(err)
 		return
 	}
+	inj.mu.Lock()
 	inj.promoted[shard] = r
+	inj.mu.Unlock()
 	inj.opts.Faults.RecordRestart()
 	inj.opts.Faults.RecordPromotion()
 	if inj.opts.Tracer != nil {
-		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: backup.Version()})
+		inj.opts.Tracer.Record(trace.Event{At: inj.rt.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: backup.Version()})
 	}
 	if inj.opts.OnServerRestart != nil {
 		inj.opts.OnServerRestart(shard, backup)
@@ -344,22 +361,27 @@ func (inj *SimInjector) finishPromotion(shard, r int, id node.ID, traceWorker in
 // broadcast SchedulerHello — the StateReport replies rebuild whatever the
 // checkpoint missed (or everything, on a cold start). No Start re-injection:
 // a generation > 0 scheduler never re-Starts workers.
-func (inj *SimInjector) restartScheduler() {
+func (inj *Injector) restartScheduler() {
+	inj.mu.Lock()
 	inj.schedGen++
-	sched, err := inj.opts.NewScheduler(inj.schedGen)
+	gen := inj.schedGen
+	inj.mu.Unlock()
+	sched, err := inj.opts.NewScheduler(gen)
 	if err != nil {
-		inj.errs = append(inj.errs, err)
+		inj.fail(err)
 		return
 	}
-	if inj.schedSnap != nil {
-		if err := sched.Restore(*inj.schedSnap); err != nil {
-			inj.errs = append(inj.errs, err)
-			return
+	if inj.opts.SchedulerCheckpoint != nil {
+		if snap, ok := inj.opts.SchedulerCheckpoint(); ok {
+			if err := sched.Restore(snap); err != nil {
+				inj.fail(err)
+				return
+			}
+			inj.opts.Faults.RecordSchedulerRestore()
 		}
-		inj.opts.Faults.RecordSchedulerRestore()
 	}
-	if err := inj.sim.Restart(node.Scheduler, sched); err != nil {
-		inj.errs = append(inj.errs, err)
+	if err := inj.rt.Restart(node.Scheduler, sched); err != nil {
+		inj.fail(err)
 		return
 	}
 	// The scheduler's Init records the recover trace and obs span itself
@@ -370,30 +392,16 @@ func (inj *SimInjector) restartScheduler() {
 	}
 }
 
-// armCheckpoint snapshots every live shard on the period. Snapshots are
-// in-memory (the simulated analogue of writing to durable storage).
-func (inj *SimInjector) armCheckpoint() {
-	inj.sim.Schedule(inj.opts.CheckpointEvery, func() {
-		for shard := 0; shard < inj.opts.NumServers; shard++ {
-			if inj.sim.Down(node.ServerID(shard)) {
-				continue
-			}
-			if srv := inj.opts.Server(shard); srv != nil {
-				inj.snaps[shard] = srv.Snapshot()
-				inj.opts.Faults.RecordCheckpoint()
-			}
-		}
-		if inj.opts.Scheduler != nil && !inj.sim.Down(node.Scheduler) {
-			if s := inj.opts.Scheduler(); s != nil {
-				snap := s.Snapshot()
-				inj.schedSnap = &snap
-				inj.opts.Faults.RecordCheckpoint()
-			}
-		}
-		inj.armCheckpoint()
-	})
+func (inj *Injector) fail(err error) {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	inj.errs = append(inj.errs, err)
 }
 
 // Errs returns runtime errors the injector hit while executing the plan
 // (mis-scheduled crashes, failed restores). Empty on a clean run.
-func (inj *SimInjector) Errs() []error { return inj.errs }
+func (inj *Injector) Errs() []error {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return append([]error(nil), inj.errs...)
+}

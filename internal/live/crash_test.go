@@ -2,6 +2,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,26 +153,23 @@ func TestNetworkFaultHook(t *testing.T) {
 	var mu sync.Mutex
 	mode := ""
 	setMode := func(m string) { mu.Lock(); mode = m; mu.Unlock() }
-	n, err := NewNetwork(NetworkConfig{
-		Registry: msg.Registry(),
-		Seed:     1,
-		Fault: func(from, to node.ID, kind wire.Kind) FaultAction {
-			mu.Lock()
-			defer mu.Unlock()
-			switch mode {
-			case "drop":
-				return FaultAction{Drop: true}
-			case "dup":
-				return FaultAction{Duplicate: true}
-			case "delay":
-				return FaultAction{Delay: 20 * time.Millisecond}
-			}
-			return FaultAction{}
-		},
-	})
+	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) node.FaultAction {
+		mu.Lock()
+		defer mu.Unlock()
+		switch mode {
+		case "drop":
+			return node.FaultAction{Drop: true}
+		case "dup":
+			return node.FaultAction{Duplicate: true}
+		case "delay":
+			return node.FaultAction{Delay: 20 * time.Millisecond}
+		}
+		return node.FaultAction{}
+	})
 	recv := &pingHandler{}
 	if err := n.AddNode("worker/0", &pingHandler{}); err != nil {
 		t.Fatal(err)
@@ -210,5 +208,30 @@ func TestNetworkFaultHook(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
 		t.Errorf("delayed message arrived too fast: %v", elapsed)
+	}
+}
+
+func TestNetworkScheduleCancelAndClose(t *testing.T) {
+	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	var fired, canceled, pending atomic.Int32
+	n.Schedule(time.Millisecond, func() { fired.Add(1) })
+	cancel := n.Schedule(20*time.Millisecond, func() { canceled.Add(1) })
+	cancel()
+	n.Schedule(300*time.Millisecond, func() { pending.Add(1) })
+	if !waitCond(t, func() bool { return fired.Load() == 1 }) {
+		t.Fatal("scheduled call never fired")
+	}
+	n.Close()
+	n.Schedule(0, func() { pending.Add(1) })
+	time.Sleep(350 * time.Millisecond)
+	if c := canceled.Load(); c != 0 {
+		t.Errorf("canceled call fired %d times", c)
+	}
+	if p := pending.Load(); p != 0 {
+		t.Errorf("calls pending at or scheduled after Close fired %d times", p)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"specsync/internal/node"
@@ -24,20 +25,6 @@ type TransferRecorder interface {
 	RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time)
 }
 
-// FaultAction tells the live network what to do with one message; the zero
-// value delivers normally. It mirrors des.FaultAction so the same fault
-// plans drive both runtimes.
-type FaultAction struct {
-	Drop      bool
-	Duplicate bool
-	Delay     time.Duration
-}
-
-// FaultHook decides the fault action for each message at send time. It is
-// called from sender goroutines, possibly concurrently, and must be safe
-// for concurrent use.
-type FaultHook func(from, to node.ID, kind wire.Kind) FaultAction
-
 // NetworkConfig configures an in-process live network.
 type NetworkConfig struct {
 	// Registry decodes messages. Required.
@@ -46,8 +33,6 @@ type NetworkConfig struct {
 	Seed int64
 	// Transfer, if non-nil, receives one record per message.
 	Transfer TransferRecorder
-	// Fault, if non-nil, is consulted for every message.
-	Fault FaultHook
 	// Metrics, if non-nil, receives transport counters (messages delivered,
 	// aggregate mailbox depth).
 	Metrics *obs.Registry
@@ -65,6 +50,11 @@ type Network struct {
 	started bool
 	closed  bool
 	wg      sync.WaitGroup
+	// timers holds the pending Schedule calls (guarded by mu) so Close can
+	// cancel them.
+	timers map[*time.Timer]struct{}
+	// fault is the message fault hook (Set by SetFault, read per send).
+	fault atomic.Pointer[node.FaultHook]
 
 	// Optional transport telemetry (NetworkConfig.Metrics).
 	metDelivered *obs.Counter
@@ -76,7 +66,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("live: config requires a wire registry")
 	}
-	n := &Network{cfg: cfg, nodes: make(map[node.ID]*liveNode)}
+	n := &Network{cfg: cfg, nodes: make(map[node.ID]*liveNode), timers: make(map[*time.Timer]struct{})}
 	if reg := cfg.Metrics; reg != nil {
 		n.metDelivered = reg.Counter("specsync_live_delivered_total", "Messages delivered to node mailboxes.")
 		n.metMailbox = reg.Gauge("specsync_live_mailbox_depth", "Messages queued across all node mailboxes.")
@@ -189,8 +179,53 @@ func (n *Network) Join(id node.ID, h node.Handler) error {
 	return nil
 }
 
-// Close stops all mailboxes and waits for their goroutines to exit. Pending
-// timers are stopped.
+var _ node.Runtime = (*Network)(nil)
+
+// Now returns wall-clock time.
+func (n *Network) Now() time.Time { return time.Now() }
+
+// Schedule runs f on its own goroutine after d of wall time, for
+// run-level events such as fault and scale plans. Close cancels every
+// pending call; scheduling on a closed network is a no-op.
+func (n *Network) Schedule(d time.Duration, f func()) node.CancelFunc {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return func() {}
+	}
+	var t *time.Timer
+	// mu is held until t is recorded, so the callback always sees it.
+	t = time.AfterFunc(d, func() {
+		n.mu.Lock()
+		delete(n.timers, t)
+		closed := n.closed
+		n.mu.Unlock()
+		if !closed {
+			f()
+		}
+	})
+	n.timers[t] = struct{}{}
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if t.Stop() {
+			delete(n.timers, t)
+		}
+	}
+}
+
+// SetFault installs (or, with nil, removes) the message fault hook. It is
+// safe to call while the network runs.
+func (n *Network) SetFault(f node.FaultHook) {
+	if f == nil {
+		n.fault.Store(nil)
+		return
+	}
+	n.fault.Store(&f)
+}
+
+// Close stops all mailboxes and pending Schedule calls and waits for the
+// mailbox goroutines to exit. Node timers are stopped.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -198,6 +233,10 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
+	for t := range n.timers {
+		t.Stop()
+	}
+	n.timers = nil
 	nodes := make([]*liveNode, 0, len(n.nodes))
 	for _, ln := range n.nodes {
 		nodes = append(nodes, ln)
@@ -332,9 +371,9 @@ func (n *Network) send(from, to node.ID, m wire.Message) {
 		}
 		return
 	}
-	var act FaultAction
-	if n.cfg.Fault != nil {
-		act = n.cfg.Fault(from, to, m.Kind())
+	var act node.FaultAction
+	if f := n.fault.Load(); f != nil {
+		act = (*f)(from, to, m.Kind(), time.Now())
 	}
 	if act.Drop {
 		return

@@ -140,6 +140,58 @@ type Handler interface {
 	Receive(from ID, m wire.Message)
 }
 
+// FaultAction tells a runtime what to do with one message. The zero value
+// delivers normally.
+type FaultAction struct {
+	// Drop discards the message.
+	Drop bool
+	// Duplicate transmits a second copy (under the simulator both copies
+	// pass through the bandwidth model, like a real retransmission).
+	Duplicate bool
+	// Delay adds this much extra latency, reordering the message past later
+	// traffic on the same link.
+	Delay time.Duration
+}
+
+// FaultHook decides the fault action for each message at send time; at is
+// the runtime's clock (virtual under the simulator, wall under the live
+// runtime). The live runtime calls it from many goroutines, so it must be
+// safe for concurrent use; under the simulator any randomness inside must
+// come from a seeded stream so runs stay reproducible. internal/faults
+// builds hooks from declarative fault plans.
+type FaultHook func(from, to ID, kind wire.Kind, at time.Time) FaultAction
+
+// Runtime is the control surface shared by the simulator (*des.Sim) and
+// the in-process live runtime (*live.Network). Plan injectors (fault and
+// scale plans) are written once against it, so a plan drives both runtimes
+// identically; only the clock differs.
+type Runtime interface {
+	// Now returns the runtime's clock.
+	Now() time.Time
+	// Schedule runs f once after d, outside any node's callbacks: on the
+	// simulator loop under the DES, on its own goroutine under the live
+	// runtime (which cancels every pending call when it closes).
+	Schedule(d time.Duration, f func()) CancelFunc
+	// Down reports whether a node is currently crashed.
+	Down(id ID) bool
+	// Crash fails a node: its timers stop and messages to it are lost.
+	Crash(id ID) error
+	// Restart revives a crashed node as a fresh incarnation running h (nil
+	// keeps the old handler); h's Init runs first.
+	Restart(id ID, h Handler) error
+	// Join adds a node mid-run and Inits it (elastic scale-up).
+	Join(id ID, h Handler) error
+	// Inject delivers m to a node as if sent by from, bypassing faults and
+	// the network model.
+	Inject(from, to ID, m wire.Message) error
+	// Quiesce blocks until the node has finished every callback enqueued
+	// before the call, so a crashed node's handler can change owners. It is
+	// a no-op under the single-threaded simulator.
+	Quiesce(id ID) error
+	// SetFault installs (or, with nil, removes) the message fault hook.
+	SetFault(f FaultHook)
+}
+
 // RandSeed derives a stable per-node RNG seed from a master seed, so node
 // randomness is independent of scheduling order.
 func RandSeed(master int64, id ID) int64 {
