@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"specsync/internal/data"
 	"specsync/internal/sparse"
@@ -27,6 +28,11 @@ type MF struct {
 	shards    [][]data.Rating
 	eval      []data.Rating
 	initScale float64
+
+	// builders holds dim-sized *sparse.Builder scratches reused across
+	// Grad calls. A pool rather than one builder because the live runtime
+	// calls Grad on a shared MF from every worker goroutine.
+	builders sync.Pool
 }
 
 var _ Model = (*MF)(nil)
@@ -59,7 +65,7 @@ func NewMF(cfg MFConfig, users, items int, shards [][]data.Rating, eval []data.R
 	if name == "" {
 		name = "mf"
 	}
-	return &MF{
+	m := &MF{
 		name:      name,
 		users:     users,
 		items:     items,
@@ -69,7 +75,10 @@ func NewMF(cfg MFConfig, users, items int, shards [][]data.Rating, eval []data.R
 		shards:    shards,
 		eval:      eval,
 		initScale: scale,
-	}, nil
+	}
+	dim := m.Dim()
+	m.builders.New = func() any { return sparse.NewBuilder(dim) }
+	return m, nil
 }
 
 // Name implements Model.
@@ -129,7 +138,7 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: MF got batch type %T", b))
 	}
-	builder := sparse.NewBuilder()
+	builder := m.builders.Get().(*sparse.Builder)
 	inv := 1.0 / float64(len(rb.ratings))
 	rowBuf := make([]float64, m.rank)
 	for _, rt := range rb.ratings {
@@ -149,6 +158,7 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 		builder.AddSpan(int32(ib), rowBuf)
 	}
 	v := builder.Build()
+	m.builders.Put(builder)
 	return Update{Sparse: &v}
 }
 

@@ -156,10 +156,9 @@ func (o *SGD) ApplyDense(w, g tensor.Vec) {
 }
 
 // ApplySparse performs the sparse analogue of ApplyDense. With momentum, the
-// velocity decay is applied lazily only on touched coordinates would be the
-// fully correct treatment; for simplicity and because the MF workload runs
-// without momentum, sparse updates fold into the velocity densely when
-// momentum is enabled.
+// sparse gradient is folded into the dense velocity, which decays on every
+// coordinate each step. Lazy per-coordinate decay, touching only the indices
+// in g, is not implemented because the MF workload runs without momentum.
 func (o *SGD) ApplySparse(w tensor.Vec, g sparse.Vec) {
 	lr := o.sched.LR(o.step)
 	o.step++

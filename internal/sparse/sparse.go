@@ -74,44 +74,63 @@ func (v *Vec) Scale(a float64) {
 // canonical sparse vector, merging duplicate indices by summation. It is the
 // tool gradient code uses: MF touches the same factor row many times per
 // batch.
+//
+// The accumulator is a dense scratch of length dim: each index sums its
+// contributions in Add order starting from +0, every touched index is
+// emitted, even one whose sum is exactly 0, and Build leaves the scratch
+// zeroed for the next vector. A Builder is not safe for concurrent use.
 type Builder struct {
-	vals map[int32]float64
+	val  []float64
+	seen []bool
+	n    int // distinct indices touched since the last Build
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{vals: make(map[int32]float64)}
+// NewBuilder returns an empty Builder for indices in [0, dim). Adding an
+// index outside that range panics.
+func NewBuilder(dim int) *Builder {
+	return &Builder{val: make([]float64, dim), seen: make([]bool, dim)}
 }
 
 // Add accumulates value at index.
 func (b *Builder) Add(index int32, value float64) {
-	b.vals[index] += value
+	if !b.seen[index] {
+		b.seen[index] = true
+		b.n++
+	}
+	b.val[index] += value
 }
 
 // AddSpan accumulates a contiguous block of values starting at base. This is
 // how a factor-row gradient (rank consecutive floats) is scattered into the
 // flat parameter index space.
 func (b *Builder) AddSpan(base int32, values []float64) {
+	end := int(base) + len(values)
+	seen, val := b.seen[base:end], b.val[base:end]
 	for i, v := range values {
-		b.vals[base+int32(i)] += v
+		if !seen[i] {
+			seen[i] = true
+			b.n++
+		}
+		val[i] += v
 	}
 }
 
 // Len returns the number of distinct indices accumulated so far.
-func (b *Builder) Len() int { return len(b.vals) }
+func (b *Builder) Len() int { return b.n }
 
-// Build produces the canonical sorted vector and resets the builder.
+// Build produces the canonical sorted vector and resets the builder. The
+// scan stops at the last touched index, and clears the scratch as it goes.
 func (b *Builder) Build() Vec {
-	idx := make([]int32, 0, len(b.vals))
-	for ix := range b.vals {
-		idx = append(idx, ix)
+	idx, val := make([]int32, b.n), make([]float64, b.n)
+	for ix, k := 0, 0; k < len(idx); ix++ {
+		if !b.seen[ix] {
+			continue
+		}
+		idx[k], val[k] = int32(ix), b.val[ix]
+		b.seen[ix], b.val[ix] = false, 0
+		k++
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	val := make([]float64, len(idx))
-	for i, ix := range idx {
-		val[i] = b.vals[ix]
-	}
-	b.vals = make(map[int32]float64)
+	b.n = 0
 	return Vec{Idx: idx, Val: val}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuilderMergesDuplicates(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(10)
 	b.Add(5, 1.5)
 	b.Add(2, 1)
 	b.Add(5, 0.5)
@@ -32,7 +32,7 @@ func TestBuilderMergesDuplicates(t *testing.T) {
 }
 
 func TestAddSpan(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(20)
 	b.AddSpan(10, []float64{1, 2, 3})
 	b.AddSpan(11, []float64{10})
 	v := b.Build()
@@ -81,7 +81,7 @@ func TestQuickSliceRoundtrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const dim = 64
-		b := NewBuilder()
+		b := NewBuilder(dim)
 		for i := 0; i < rng.Intn(40); i++ {
 			b.Add(int32(rng.Intn(dim)), rng.NormFloat64())
 		}
