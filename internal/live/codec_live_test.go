@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,6 +79,19 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 	}
 
 	hosts := map[node.ID]*TCPHost{}
+	var order []*TCPHost
+	// closeHosts stops every host, last started first, and waits for their
+	// event loops; only after it returns may the test read handler state.
+	// It runs once, early on success and from Cleanup on any exit.
+	var closeOnce sync.Once
+	closeHosts := func() {
+		closeOnce.Do(func() {
+			for i := len(order) - 1; i >= 0; i-- {
+				order[i].Close()
+			}
+		})
+	}
+	t.Cleanup(closeHosts)
 	addHost := func(id node.ID, h node.Handler) *TCPHost {
 		t.Helper()
 		host, err := NewTCPHost(TCPHostConfig{
@@ -88,7 +102,7 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 			t.Fatal(err)
 		}
 		hosts[id] = host
-		t.Cleanup(host.Close)
+		order = append(order, host)
 		return host
 	}
 	addHost(node.ServerID(0), srv)
@@ -119,6 +133,7 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	closeHosts()
 	var total int64
 	for _, wk := range workers {
 		total += wk.IterationsDone()

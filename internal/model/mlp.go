@@ -120,31 +120,52 @@ func (m *MLP) SampleBatch(shard int, rng *rand.Rand) Batch {
 	return sampleBatch{samples: out}
 }
 
-// forward computes hidden pre-activations, activations and logits for one
-// sample into the provided scratch buffers.
-func (m *MLP) forward(w tensor.Vec, x []float64, hPre, hAct, logits tensor.Vec) {
-	w1 := m.w1(w)
-	for h := 0; h < m.hidden; h++ {
-		row := w1.Row(h)
-		var z float64
-		for d, xv := range x {
-			z += row[d] * xv
-		}
-		hPre[h] = z + row[m.dim]
-	}
-	tensor.Relu(hPre, hAct)
-	w2 := m.w2(w)
-	for k := 0; k < m.classes; k++ {
-		row := w2.Row(k)
-		var z float64
-		for h := 0; h < m.hidden; h++ {
-			z += row[h] * hAct[h]
-		}
-		logits[k] = z + row[m.hidden]
-	}
+// mlpAct holds one sample's activations and hidden-layer gradient.
+type mlpAct struct {
+	hPre, hAct, logits, dHidden tensor.Vec
 }
 
-// Grad implements Model via manual backprop.
+// newActs allocates scratch for one pair of samples.
+func (m *MLP) newActs() *[2]mlpAct {
+	buf := tensor.NewVec(2 * (3*m.hidden + m.classes))
+	next := func(n int) tensor.Vec {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
+	}
+	var acts [2]mlpAct
+	for i := range acts {
+		acts[i] = mlpAct{hPre: next(m.hidden), hAct: next(m.hidden), logits: next(m.classes), dHidden: next(m.hidden)}
+	}
+	return &acts
+}
+
+// pairAt returns samples[i] and, unless it is the odd last one, samples[i+1].
+// Every batch walk steps two samples at a time so both layers can map a
+// pair through tensor.Affine2 together.
+func pairAt(samples []data.Sample, i int) []data.Sample {
+	return samples[i:min(i+2, len(samples))]
+}
+
+// forward computes hidden pre-activations, activations and logits for a
+// pair of samples, or a lone last one, into acts. For a lone sample the
+// second input and outputs stay nil, which Affine2 and Relu skip.
+func (m *MLP) forward(w tensor.Vec, pair []data.Sample, acts *[2]mlpAct) {
+	a := &acts[0]
+	var xb, hPreB, hActB, logitsB tensor.Vec
+	if len(pair) == 2 {
+		b := &acts[1]
+		xb, hPreB, hActB, logitsB = pair[1].X, b.hPre, b.hAct, b.logits
+	}
+	tensor.Affine2(m.w1(w), pair[0].X, xb, a.hPre, hPreB)
+	tensor.Relu(a.hPre, a.hAct)
+	tensor.Relu(hPreB, hActB)
+	tensor.Affine2(m.w2(w), a.hAct, hActB, a.logits, logitsB)
+}
+
+// Grad implements Model via manual backprop, two samples at a time. Every
+// gradient element accumulates its per-sample terms in sample order,
+// so the result is bit-identical to a one-sample-at-a-time loop.
 func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	sb, ok := b.(sampleBatch)
 	if !ok {
@@ -154,55 +175,79 @@ func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	g1 := m.w1(g)
 	g2 := m.w2(g)
 	w2 := m.w2(w)
-
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
-	dHidden := tensor.NewVec(m.hidden)
+	acts := m.newActs()
 	inv := 1.0 / float64(len(sb.samples))
 
-	for _, smp := range sb.samples {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		tensor.Softmax(logits, logits)
-		logits[smp.Y] -= 1 // dL/dlogits = p - onehot
-
-		// Output layer gradient and hidden backprop.
-		dHidden.Zero()
-		for k := 0; k < m.classes; k++ {
-			dk := logits[k] * inv
-			if dk == 0 {
-				continue
-			}
-			row := g2.Row(k)
-			for h := 0; h < m.hidden; h++ {
-				row[h] += dk * hAct[h]
-			}
-			row[m.hidden] += dk
-			tensor.Axpy(dHidden, dk, w2.Row(k)[:m.hidden])
+	for i := 0; i < len(sb.samples); i += 2 {
+		pair := pairAt(sb.samples, i)
+		m.forward(w, pair, acts)
+		for j, smp := range pair {
+			m.backprop(g2, w2, &acts[j], smp.Y, inv)
 		}
-		// ReLU gate.
-		for h := 0; h < m.hidden; h++ {
-			if hPre[h] <= 0 {
-				dHidden[h] = 0
-			}
-		}
-		// Input layer gradient.
-		for h := 0; h < m.hidden; h++ {
-			dh := dHidden[h]
-			if dh == 0 {
-				continue
-			}
-			row := g1.Row(h)
-			for d, xv := range smp.X {
-				row[d] += dh * xv
-			}
-			row[m.dim] += dh
-		}
+		m.foldInput(g1, pair, acts)
 	}
 	if m.l2 > 0 {
 		tensor.Axpy(g, m.l2, w)
 	}
 	return Update{Dense: g}
+}
+
+// backprop adds one sample's output-layer gradient to g2 and leaves its
+// ReLU-gated hidden gradient in a.dHidden.
+func (m *MLP) backprop(g2, w2 tensor.Mat, a *mlpAct, y int, inv float64) {
+	logits := a.logits
+	tensor.Softmax(logits, logits)
+	logits[y] -= 1 // dL/dlogits = p - onehot
+
+	a.dHidden.Zero()
+	for k := 0; k < m.classes; k++ {
+		dk := logits[k] * inv
+		if dk == 0 {
+			continue
+		}
+		row := g2.Row(k)
+		tensor.Axpy(row[:m.hidden], dk, a.hAct)
+		row[m.hidden] += dk
+		tensor.Axpy(a.dHidden, dk, w2.Row(k)[:m.hidden])
+	}
+	for h, z := range a.hPre {
+		if z <= 0 {
+			a.dHidden[h] = 0
+		}
+	}
+}
+
+// foldInput adds the pair's input-layer gradients to g1 in one pass over
+// each row: per element, the first sample's term and then the second's,
+// skipping a sample whose hidden gradient is zero, exactly as two
+// successive per-sample passes would.
+func (m *MLP) foldInput(g1 tensor.Mat, pair []data.Sample, acts *[2]mlpAct) {
+	xa := pair[0].X
+	var xb, dB tensor.Vec
+	if len(pair) == 2 {
+		xb, dB = pair[1].X, acts[1].dHidden
+	}
+	for h, da := range acts[0].dHidden {
+		var db float64
+		if dB != nil {
+			db = dB[h]
+		}
+		row := g1.Row(h)
+		switch {
+		case da != 0 && db != 0:
+			wr, xb := row[:len(xa)], xb[:len(xa)]
+			for d, xv := range xa {
+				wr[d] = wr[d] + da*xv + db*xb[d]
+			}
+			row[m.dim] = row[m.dim] + da + db
+		case da != 0:
+			tensor.Axpy(row[:m.dim], da, xa)
+			row[m.dim] += da
+		case db != 0:
+			tensor.Axpy(row[:m.dim], db, xb)
+			row[m.dim] += db
+		}
+	}
 }
 
 // BatchLoss implements Model.
@@ -218,13 +263,14 @@ func (m *MLP) BatchLoss(w tensor.Vec, b Batch) float64 {
 func (m *MLP) EvalLoss(w tensor.Vec) float64 { return m.meanLoss(w, m.eval) }
 
 func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
+	acts := m.newActs()
 	var total float64
-	for _, smp := range samples {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		total += tensor.LogSumExp(logits) - logits[smp.Y]
+	for i := 0; i < len(samples); i += 2 {
+		pair := pairAt(samples, i)
+		m.forward(w, pair, acts)
+		for j, smp := range pair {
+			total += tensor.LogSumExp(acts[j].logits) - acts[j].logits[smp.Y]
+		}
 	}
 	loss := total / float64(len(samples))
 	if m.l2 > 0 {
@@ -235,14 +281,15 @@ func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 
 // EvalAccuracy implements Accuracier.
 func (m *MLP) EvalAccuracy(w tensor.Vec) float64 {
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
+	acts := m.newActs()
 	correct := 0
-	for _, smp := range m.eval {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		if tensor.Argmax(logits) == smp.Y {
-			correct++
+	for i := 0; i < len(m.eval); i += 2 {
+		pair := pairAt(m.eval, i)
+		m.forward(w, pair, acts)
+		for j, smp := range pair {
+			if tensor.Argmax(acts[j].logits) == smp.Y {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(m.eval))

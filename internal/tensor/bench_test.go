@@ -32,14 +32,23 @@ func BenchmarkDot(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	m := NewMat(96, 129) // CIFAR-like MLP first layer
+// BenchmarkAffine2 maps one 64-sample batch through the CIFAR MLP's first
+// layer (96 hidden units over 64 inputs plus bias), two samples per call.
+func BenchmarkAffine2(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
+	m := MatOver(96, 65, NewVec(96*65))
 	RandNormal(m.V, 1, rng)
-	x, out := randVec(129, 4), NewVec(96)
+	xs := make([]Vec, 64)
+	for i := range xs {
+		xs[i] = randVec(64, int64(4+i))
+	}
+	oa, ob := NewVec(96), NewVec(96)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatVec(m, x, out)
+		for s := 0; s < len(xs); s += 2 {
+			Affine2(m, xs[s], xs[s+1], oa, ob)
+		}
 	}
 }
 

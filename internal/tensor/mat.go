@@ -13,11 +13,6 @@ type Mat struct {
 	V          Vec // len == Rows*Cols, row-major
 }
 
-// NewMat allocates a zeroed Rows x Cols matrix.
-func NewMat(rows, cols int) Mat {
-	return Mat{Rows: rows, Cols: cols, V: NewVec(rows * cols)}
-}
-
 // MatOver wraps an existing buffer as a Rows x Cols matrix. It panics when
 // the buffer length does not match.
 func MatOver(rows, cols int, v Vec) Mat {
@@ -32,41 +27,62 @@ func (m Mat) Row(i int) Vec {
 	return m.V[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns element (i, j).
-func (m Mat) At(i, j int) float64 { return m.V[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m Mat) Set(i, j int, x float64) { m.V[i*m.Cols+j] = x }
-
-// MatVec computes out = M * x where x has length Cols and out length Rows.
-func MatVec(m Mat, x, out Vec) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatVec dims %dx%d * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
+// Affine2 computes the affine map of two inputs through the same matrix:
+// oa[r] = dot(M.Row(r)[:n], xa) + M.Row(r)[n] and likewise ob from xb, where
+// n = len(xa) and M has n+1 columns (the last holds the bias). A nil xb (with
+// a nil ob) maps xa alone, for the odd sample at the end of a batch.
+//
+// Rows go four at a time with both inputs, so the inner loop carries eight
+// independent sums and runs at floating-point throughput rather than add
+// latency. Each output is one sum from +0 in ascending column order,
+// acc += w*x, with the bias added last: every result is bit-identical to
+// the plain per-row dot product.
+func Affine2(m Mat, xa, xb, oa, ob Vec) {
+	n := len(xa)
+	if m.Cols != n+1 || len(oa) != m.Rows || (xb == nil) != (ob == nil) ||
+		(xb != nil && (len(xb) != n || len(ob) != m.Rows)) {
+		panic(fmt.Sprintf("tensor: Affine2 dims %dx%d with inputs %d,%d -> %d,%d",
+			m.Rows, m.Cols, len(xa), len(xb), len(oa), len(ob)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
+	if xb == nil {
+		for r := range oa {
+			row := m.Row(r)
+			oa[r] = Dot(row[:n], xa) + row[n]
+		}
+		return
 	}
-}
-
-// MatTVec computes out = M^T * x where x has length Rows and out length Cols.
-func MatTVec(m Mat, x, out Vec) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("tensor: MatTVec dims (%dx%d)^T * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
+	xb = xb[:n]
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		r0, r1, r2, r3 := m.Row(r)[:n], m.Row(r + 1)[:n], m.Row(r + 2)[:n], m.Row(r + 3)[:n]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		for d, x := range xa {
+			y := xb[d]
+			a0 += r0[d] * x
+			b0 += r0[d] * y
+			a1 += r1[d] * x
+			b1 += r1[d] * y
+			a2 += r2[d] * x
+			b2 += r2[d] * y
+			a3 += r3[d] * x
+			b3 += r3[d] * y
+		}
+		c := m.Cols
+		bias := m.V[r*c+n : (r+3)*c+n+1]
+		oa[r], ob[r] = a0+bias[0], b0+bias[0]
+		oa[r+1], ob[r+1] = a1+bias[c], b1+bias[c]
+		oa[r+2], ob[r+2] = a2+bias[2*c], b2+bias[2*c]
+		oa[r+3], ob[r+3] = a3+bias[3*c], b3+bias[3*c]
 	}
-	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		Axpy(out, x[i], m.Row(i))
-	}
-}
-
-// AddOuter accumulates M += a * x*y^T where x has length Rows and y length
-// Cols. This is the rank-1 update at the heart of backprop weight gradients.
-func AddOuter(m Mat, a float64, x, y Vec) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddOuter dims %d x %d into %dx%d", len(x), len(y), m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		Axpy(m.Row(i), a*x[i], y)
+	for ; r < m.Rows; r++ {
+		row := m.Row(r)
+		w := row[:n]
+		var a, b float64
+		for d, x := range xa {
+			a += w[d] * x
+			b += w[d] * xb[d]
+		}
+		oa[r], ob[r] = a+row[n], b+row[n]
 	}
 }
 

@@ -93,84 +93,79 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
-func TestMatVecAndTranspose(t *testing.T) {
-	m := MatOver(2, 3, Vec{1, 2, 3, 4, 5, 6})
-	out := NewVec(2)
-	MatVec(m, Vec{1, 0, -1}, out)
-	if out[0] != -2 || out[1] != -2 {
-		t.Errorf("MatVec = %v", out)
+// affineRef is the plain per-row dot product Affine2 must reproduce bit for
+// bit: one sum from +0 in ascending column order, bias added last.
+func affineRef(m Mat, x Vec) Vec {
+	n := len(x)
+	out := NewVec(m.Rows)
+	for r := range out {
+		row := m.Row(r)
+		var z float64
+		for d, xv := range x {
+			z += row[d] * xv
+		}
+		out[r] = z + row[n]
 	}
-	tout := NewVec(3)
-	MatTVec(m, Vec{1, 1}, tout)
-	if tout[0] != 5 || tout[1] != 7 || tout[2] != 9 {
-		t.Errorf("MatTVec = %v", tout)
+	return out
+}
+
+func TestAffine2SmallExample(t *testing.T) {
+	m := MatOver(2, 3, Vec{1, 2, 3, 4, 5, 6})
+	oa, ob := NewVec(2), NewVec(2)
+	Affine2(m, Vec{1, -1}, Vec{0, 2}, oa, ob)
+	if oa[0] != 2 || oa[1] != 5 || ob[0] != 7 || ob[1] != 16 {
+		t.Errorf("Affine2 = %v, %v", oa, ob)
 	}
 }
 
-func TestQuickMatVecLinearity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := rng.Intn(8)+1, rng.Intn(8)+1
-		m := NewMat(r, c)
+// TestAffine2BitIdentical covers the four-row tile, the remainder rows
+// (rows not a multiple of four, fewer than four rows) and the single-input
+// path, against affineRef with exact float64 bit comparison.
+func TestAffine2BitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {4, 1}, {7, 9}, {10, 33}, {96, 64}, {13, 96}} {
+		rows, n := shape[0], shape[1]
+		m := MatOver(rows, n+1, NewVec(rows*(n+1)))
 		RandNormal(m.V, 1, rng)
-		x, y := NewVec(c), NewVec(c)
-		RandNormal(x, 1, rng)
-		RandNormal(y, 1, rng)
-		a := rng.NormFloat64()
+		xa, xb := NewVec(n), NewVec(n)
+		RandNormal(xa, 3, rng)
+		RandNormal(xb, 3, rng)
+		wantA, wantB := affineRef(m, xa), affineRef(m, xb)
 
-		// M(x + a*y) == Mx + a*My
-		xy := x.Clone()
-		Axpy(xy, a, y)
-		lhs := NewVec(r)
-		MatVec(m, xy, lhs)
-
-		mx, my := NewVec(r), NewVec(r)
-		MatVec(m, x, mx)
-		MatVec(m, y, my)
-		Axpy(mx, a, my)
-
-		for i := range lhs {
-			if !almostEq(lhs[i], mx[i], 1e-9) {
-				return false
+		oa, ob := NewVec(rows), NewVec(rows)
+		Affine2(m, xa, xb, oa, ob)
+		single := NewVec(rows)
+		Affine2(m, xb, nil, single, nil)
+		for r := 0; r < rows; r++ {
+			if math.Float64bits(oa[r]) != math.Float64bits(wantA[r]) ||
+				math.Float64bits(ob[r]) != math.Float64bits(wantB[r]) {
+				t.Fatalf("%dx%d row %d: pair (%v, %v), want (%v, %v)", rows, n, r, oa[r], ob[r], wantA[r], wantB[r])
+			}
+			if math.Float64bits(single[r]) != math.Float64bits(wantB[r]) {
+				t.Fatalf("%dx%d row %d: single %v, want %v", rows, n, r, single[r], wantB[r])
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
-func TestQuickMatTVecAdjoint(t *testing.T) {
-	// <Mx, y> == <x, M^T y> for all x, y.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := rng.Intn(8)+1, rng.Intn(8)+1
-		m := NewMat(r, c)
-		RandNormal(m.V, 1, rng)
-		x, y := NewVec(c), NewVec(r)
-		RandNormal(x, 1, rng)
-		RandNormal(y, 1, rng)
-
-		mx := NewVec(r)
-		MatVec(m, x, mx)
-		mty := NewVec(c)
-		MatTVec(m, y, mty)
-		return almostEq(Dot(mx, y), Dot(x, mty), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAddOuter(t *testing.T) {
-	m := NewMat(2, 2)
-	AddOuter(m, 2, Vec{1, 2}, Vec{3, 4})
-	want := []float64{6, 8, 12, 16}
-	for i, w := range want {
-		if m.V[i] != w {
-			t.Errorf("AddOuter V[%d] = %v, want %v", i, m.V[i], w)
-		}
+func TestAffine2PanicsOnBadDims(t *testing.T) {
+	m := MatOver(2, 3, NewVec(6))
+	for name, call := range map[string]func(){
+		"cols":     func() { Affine2(m, NewVec(3), nil, NewVec(2), nil) },
+		"out":      func() { Affine2(m, NewVec(2), nil, NewVec(3), nil) },
+		"xb len":   func() { Affine2(m, NewVec(2), NewVec(1), NewVec(2), NewVec(2)) },
+		"ob len":   func() { Affine2(m, NewVec(2), NewVec(2), NewVec(2), NewVec(1)) },
+		"ob no xb": func() { Affine2(m, NewVec(2), nil, NewVec(2), NewVec(2)) },
+		"xb no ob": func() { Affine2(m, NewVec(2), NewVec(2), NewVec(2), nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
